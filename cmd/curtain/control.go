@@ -71,7 +71,7 @@ func runCoordinate(args []string) error {
 	fs := flag.NewFlagSet("coordinate", flag.ExitOnError)
 	listen := fs.String("listen", "127.0.0.1:9290", "address workers connect to (host:port, or a unix socket path)")
 	out := fs.String("out", "dataset.jsonl", "output path for the merged dataset")
-	formatName := fs.String("format", "", "merged output and checkpoint segment codec: jsonl or binary (default jsonl)")
+	formatName := fs.String("format", "", "merged output codec: jsonl or binary (default jsonl; the checkpoint is always curtainbin)")
 	jsonOut := fs.Bool("json", false, "one-line JSON status report on stdout after the drain (for scripts)")
 	ckDir := fs.String("checkpoint-dir", "", "durable segment directory (required; the exactly-once merge substrate)")
 	ckEvery := fs.Int("checkpoint-every", 0, "checkpoint fsync cadence in experiments (0 = default 64)")
@@ -97,38 +97,13 @@ func runCoordinate(args []string) error {
 	total := camp.Total()
 	hash := cfg.Hash()
 
-	var (
-		ck    *dataset.Checkpoint
-		prior map[int]*dataset.Experiment
-	)
-	if *resume {
-		opened, priorDS, torn, err := dataset.OpenCheckpoint(*ckDir)
-		if err != nil {
-			return err
-		}
-		if err := trace.VerifyManifest(*ckDir, opened.Manifest(), cfg, total); err != nil {
-			_ = opened.Close()
-			//lint:ignore errwrap ConfigMismatchError already names the checkpoint and both hashes
-			return err
-		}
-		opened.SetEvery(*ckEvery)
-		prior = make(map[int]*dataset.Experiment, priorDS.Len())
-		for _, e := range priorDS.Experiments {
-			prior[e.Seq] = e
-		}
-		if torn > 0 {
-			fmt.Fprintf(os.Stderr, "curtain: discarded %d bytes of torn segment tail\n", torn)
-		}
-		ck = opened
-	} else {
-		created, err := dataset.CreateCheckpoint(*ckDir, dataset.Manifest{
-			Format: format,
-			Seed:   cfg.Seed, ConfigHash: hash, Total: total,
-		}, *ckEvery)
-		if err != nil {
-			return err
-		}
-		ck = created
+	cfg.CheckpointDir, cfg.CheckpointEvery, cfg.Resume = *ckDir, *ckEvery, *resume
+	ck, prior, torn, err := trace.OpenCheckpoint(cfg, total)
+	if err != nil {
+		return err
+	}
+	if torn > 0 {
+		fmt.Fprintf(os.Stderr, "curtain: discarded %d bytes of torn segment tail\n", torn)
 	}
 	defer ck.Close()
 

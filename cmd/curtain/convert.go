@@ -41,14 +41,14 @@ func runConvert(args []string) error {
 	// half-converted file at -out.
 	n := 0
 	if err := dataset.WriteFileAtomic(*out, func(w io.Writer) error {
-		sink, flush := datasetSink(w, f)
+		rw := dataset.NewRecordWriter(w, f)
 		if err := dataset.ScanFile(*in, func(e *dataset.Experiment) error {
 			n++
-			return sink(e)
+			return rw.Append(e)
 		}); err != nil {
 			return err
 		}
-		return flush()
+		return rw.Flush()
 	}); err != nil {
 		return err
 	}

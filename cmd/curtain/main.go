@@ -12,8 +12,6 @@
 package main
 
 import (
-	"bufio"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -135,8 +133,8 @@ flags (coordinate):
   -lease-timeout D    reassign a lease after this long without a
                       heartbeat (default 10s)
   -out PATH           merged dataset path (default dataset.jsonl)
-  -format F           merged output and checkpoint segment codec:
-                      jsonl or binary (default jsonl)
+  -format F           merged output codec: jsonl or binary (default
+                      jsonl); the checkpoint is always curtainbin
   -json               one-line JSON status report on stdout after the
                       drain: lease grants/reassignments, dedup counts,
                       grant-to-merge latency p50/p95 (for scripts)
@@ -164,11 +162,11 @@ flags (report/exp/simulate):
   -checkpoint-dir D   durable campaign checkpoint directory: completed
                       experiments are fsync'd there as the run progresses,
                       and SIGINT/SIGTERM drains in-flight experiments and
-                      flushes the checkpoint before exiting
+                      flushes the checkpoint before exiting. The segment
+                      is curtainbin (D/experiments.bin); inspect it with
+                      curtain analyze -in D, or, once the run has closed
+                      it cleanly, curtain convert -in D/experiments.bin
   -checkpoint-every N checkpoint fsync cadence in experiments (default 64)
-  -checkpoint-format F  checkpoint segment codec: jsonl or binary
-                      (default jsonl; resumes auto-detect, and the dataset
-                      is identical either way)
   -resume             continue the campaign checkpointed in -checkpoint-dir
                       (verified against -seed and the other campaign flags);
                       the result is byte-identical to an uninterrupted run
@@ -191,14 +189,10 @@ func optionFlags(fs *flag.FlagSet) func() (cellcurtain.Options, error) {
 	faults := fs.String("faults", "", "fault scenario (preset name or DSL)")
 	ckDir := fs.String("checkpoint-dir", "", "durable checkpoint directory (empty = no checkpointing)")
 	ckEvery := fs.Int("checkpoint-every", 0, "checkpoint fsync cadence in experiments (0 = default 64)")
-	ckFormat := fs.String("checkpoint-format", "", "checkpoint segment codec: jsonl or binary (default jsonl)")
 	resume := fs.Bool("resume", false, "resume the campaign checkpointed in -checkpoint-dir")
 	return func() (cellcurtain.Options, error) {
 		if *resume && *ckDir == "" {
 			return cellcurtain.Options{}, fmt.Errorf("-resume requires -checkpoint-dir")
-		}
-		if _, err := dataset.ParseFormat(*ckFormat); err != nil {
-			return cellcurtain.Options{}, err
 		}
 		var interrupt <-chan struct{}
 		if *ckDir != "" {
@@ -207,7 +201,7 @@ func optionFlags(fs *flag.FlagSet) func() (cellcurtain.Options, error) {
 		return cellcurtain.Options{
 			Seed: *seed, Days: *days, IntervalHours: *interval, ClientScale: *scale,
 			Workers: *workers, Faults: *faults,
-			CheckpointDir: *ckDir, CheckpointEvery: *ckEvery, CheckpointFormat: *ckFormat,
+			CheckpointDir: *ckDir, CheckpointEvery: *ckEvery,
 			Resume: *resume, Interrupt: interrupt,
 		}, nil
 	}
@@ -320,26 +314,6 @@ func streamCampaign(cfg trace.Config) (*trace.Campaign, error) {
 	return trace.NewCampaign(w, cfg)
 }
 
-// datasetSink returns an append function and a flush function writing
-// experiments to w in codec f, byte-identical to Dataset.Write over the
-// same records — which is what lets the streaming subcommands replace
-// the materialized write path without changing a single output byte.
-func datasetSink(w io.Writer, f dataset.Format) (func(*dataset.Experiment) error, func() error) {
-	if f == dataset.FormatBinary {
-		b := dataset.NewBinaryWriter(w)
-		return b.Append, b.Flush
-	}
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	add := func(e *dataset.Experiment) error {
-		if err := enc.Encode(e); err != nil {
-			return fmt.Errorf("encode experiment %d: %w", e.Seq, err)
-		}
-		return nil
-	}
-	return add, bw.Flush
-}
-
 func runSimulate(args []string) error {
 	fs := flag.NewFlagSet("simulate", flag.ExitOnError)
 	out := fs.String("out", "dataset.jsonl", "output dataset path")
@@ -376,11 +350,11 @@ func runSimulate(args []string) error {
 	n := 0
 	start := time.Now()
 	werr := dataset.WriteFileAtomic(*out, func(w io.Writer) error {
-		sink, flush := datasetSink(w, f)
+		rw := dataset.NewRecordWriter(w, f)
 		var sinkErr error
 		record := func(e *dataset.Experiment) {
 			if sinkErr == nil {
-				if err := sink(e); err != nil {
+				if err := rw.Append(e); err != nil {
 					sinkErr = err
 					return
 				}
@@ -397,7 +371,7 @@ func runSimulate(args []string) error {
 		if sinkErr != nil {
 			return sinkErr
 		}
-		return flush()
+		return rw.Flush()
 	})
 	if werr != nil {
 		if errors.Is(werr, trace.ErrInterrupted) {

@@ -918,22 +918,3 @@ func UnmarshalExperiments(b []byte) ([]*Experiment, error) {
 	}
 	return es, nil
 }
-
-// WriteBinary streams the dataset in curtainbin format.
-func (d *Dataset) WriteBinary(w io.Writer) error {
-	bw := NewBinaryWriter(w)
-	for _, e := range d.Experiments {
-		if err := bw.Append(e); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// Write streams the dataset in the requested format.
-func (d *Dataset) Write(w io.Writer, f Format) error {
-	if f == FormatBinary {
-		return d.WriteBinary(w)
-	}
-	return d.WriteJSONL(w)
-}

@@ -55,7 +55,7 @@ func TestBinaryRoundTripByteIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	var bin bytes.Buffer
-	if err := d.WriteBinary(&bin); err != nil {
+	if err := d.Write(&bin, FormatBinary); err != nil {
 		t.Fatal(err)
 	}
 	if bin.Len() >= jsonl1.Len() {
@@ -95,7 +95,7 @@ func TestBinaryCompressionRatio(t *testing.T) {
 	if err := d.WriteJSONL(&jsonl); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.WriteBinary(&bin); err != nil {
+	if err := d.Write(&bin, FormatBinary); err != nil {
 		t.Fatal(err)
 	}
 	if ratio := float64(jsonl.Len()) / float64(bin.Len()); ratio < 5 {
@@ -172,7 +172,7 @@ func TestBinaryTornTail(t *testing.T) {
 func TestBinaryCorruptionIsNotTorn(t *testing.T) {
 	d := sampleDataset(8)
 	var bin bytes.Buffer
-	if err := d.WriteBinary(&bin); err != nil {
+	if err := d.Write(&bin, FormatBinary); err != nil {
 		t.Fatal(err)
 	}
 	b := bytes.Clone(bin.Bytes())
@@ -271,7 +271,7 @@ func TestBinaryFlateOverInflation(t *testing.T) {
 func TestFileShardsTruncatedTrailer(t *testing.T) {
 	d := sampleDataset(40)
 	var bin bytes.Buffer
-	if err := d.WriteBinary(&bin); err != nil {
+	if err := d.Write(&bin, FormatBinary); err != nil {
 		t.Fatal(err)
 	}
 	for extra := 1; extra <= 4; extra++ {
@@ -359,7 +359,7 @@ func TestBinaryFileShardsEquivalence(t *testing.T) {
 	}
 }
 
-func TestBinaryScanFileParallel(t *testing.T) {
+func TestBinaryScanShards(t *testing.T) {
 	d := sampleDataset(200)
 	var bin bytes.Buffer
 	bw := NewBinaryWriter(&bin)
@@ -377,7 +377,7 @@ func TestBinaryScanFileParallel(t *testing.T) {
 		t.Fatal(err)
 	}
 	var seqs []int
-	if err := ScanFileParallel(path, 4, func(e *Experiment) error {
+	if err := scanShards(path, 4, func(e *Experiment) error {
 		seqs = append(seqs, e.Seq)
 		return nil
 	}); err != nil {
@@ -385,17 +385,17 @@ func TestBinaryScanFileParallel(t *testing.T) {
 	}
 	for i, s := range seqs {
 		if s != i+1 {
-			t.Fatalf("parallel scan order broken at %d: seq %d", i, s)
+			t.Fatalf("shard scan order broken at %d: seq %d", i, s)
 		}
 	}
 	if len(seqs) != d.Len() {
-		t.Fatalf("parallel scan yielded %d, want %d", len(seqs), d.Len())
+		t.Fatalf("shard scan yielded %d, want %d", len(seqs), d.Len())
 	}
 }
 
 func TestBinaryCheckpointRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	m := Manifest{Format: FormatBinary, Seed: 7, ConfigHash: "abc", Total: 50}
+	m := Manifest{Seed: 7, ConfigHash: "abc", Total: 50}
 	ck, err := CreateCheckpoint(dir, m, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -448,7 +448,7 @@ func TestBinaryCheckpointRoundTrip(t *testing.T) {
 
 func TestBinaryCheckpointTornResume(t *testing.T) {
 	dir := t.TempDir()
-	ck, err := CreateCheckpoint(dir, Manifest{Format: FormatBinary, Seed: 7, ConfigHash: "h", Total: 40}, 10)
+	ck, err := CreateCheckpoint(dir, Manifest{Seed: 7, ConfigHash: "h", Total: 40}, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -564,7 +564,7 @@ func TestFileFormat(t *testing.T) {
 	}
 	bp := filepath.Join(dir, "a.bin")
 	var bin bytes.Buffer
-	if err := sampleDataset(1).WriteBinary(&bin); err != nil {
+	if err := sampleDataset(1).Write(&bin, FormatBinary); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(bp, bin.Bytes(), 0o644); err != nil {

@@ -10,19 +10,16 @@ import (
 	"sync"
 )
 
-// Checkpoint file layout: dir/experiments.jsonl (JSONL) or
-// dir/experiments.bin (curtainbin) is an append-only segment of
-// completed experiments (fsync'd every Every appends), and
-// dir/manifest.json identifies the campaign the segment belongs to —
-// including which codec the segment uses. The manifest is always written
-// via temp file + rename, so it is either the old or the new version —
-// never torn. The segment may end in a torn tail (a partial JSONL line
-// or an incomplete curtainbin segment) after a hard kill; resume drops
-// the tail and re-runs those experiments.
+// Checkpoint file layout: dir/experiments.bin is an append-only
+// curtainbin stream of completed experiments (fsync'd every Every
+// appends), and dir/manifest.json identifies the campaign the segment
+// belongs to. The manifest is always written via temp file + rename, so
+// it is either the old or the new version — never torn. The segment may
+// end in a torn tail (an incomplete curtainbin segment) after a hard
+// kill; resume drops the tail and re-runs those experiments.
 const (
-	segmentFile    = "experiments.jsonl"
-	segmentFileBin = "experiments.bin"
-	manifestFile   = "manifest.json"
+	segmentFile  = "experiments.bin"
+	manifestFile = "manifest.json"
 
 	// ManifestVersion is bumped on incompatible layout changes, and on
 	// any change to how trace derives client populations from (seed,
@@ -36,33 +33,12 @@ const (
 	DefaultCheckpointEvery = 64
 )
 
-// checkpointSegmentPath locates a checkpoint's segment file: the binary
-// segment when present, the JSONL segment otherwise.
-func checkpointSegmentPath(dir string) string {
-	bin := filepath.Join(dir, segmentFileBin)
-	if _, err := os.Stat(bin); err == nil {
-		return bin
-	}
-	return filepath.Join(dir, segmentFile)
-}
-
-// segmentFileFor maps a manifest format to its segment file name.
-func segmentFileFor(f Format) string {
-	if f == FormatBinary {
-		return segmentFileBin
-	}
-	return segmentFile
-}
-
 // Manifest identifies the campaign a checkpoint belongs to. A resume
 // must verify Seed and ConfigHash before trusting the segment: replaying
 // a checkpoint into a differently-configured campaign would silently mix
 // two datasets.
 type Manifest struct {
 	Version int `json:"version"`
-	// Format is the segment codec ("" or "jsonl" for JSONL,
-	// "binary" for curtainbin).
-	Format Format `json:"format,omitempty"`
 	// Seed is the campaign RNG seed.
 	Seed uint64 `json:"seed"`
 	// ConfigHash fingerprints every dataset-determining config field
@@ -71,7 +47,7 @@ type Manifest struct {
 	// Total is the number of experiments in the full campaign.
 	Total int `json:"total"`
 	// Completed is the durable-experiment watermark: at least this many
-	// complete experiment lines precede any possible tear in the segment.
+	// complete experiment records precede any possible tear in the segment.
 	Completed int `json:"completed"`
 }
 
@@ -84,16 +60,14 @@ type Checkpoint struct {
 	mu       sync.Mutex
 	f        *os.File
 	bw       *bufio.Writer
-	enc      *json.Encoder // JSONL segments
-	bin      *BinaryWriter // curtainbin segments
+	bin      *BinaryWriter
 	pending  int
 	manifest Manifest
 }
 
 // CreateCheckpoint initializes a fresh checkpoint directory, truncating
-// any previous segment (of either codec), and durably records the
-// manifest before any experiment is appended. m.Format selects the
-// segment codec.
+// any previous segment, and durably records the manifest before any
+// experiment is appended.
 func CreateCheckpoint(dir string, m Manifest, every int) (*Checkpoint, error) {
 	if every <= 0 {
 		every = DefaultCheckpointEvery
@@ -101,14 +75,7 @@ func CreateCheckpoint(dir string, m Manifest, every int) (*Checkpoint, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("dataset: checkpoint %s: %w", dir, err)
 	}
-	// Drop the other codec's segment so a format switch cannot leave a
-	// stale segment that a later resume would prefer.
-	for _, name := range []string{segmentFile, segmentFileBin} {
-		if name != segmentFileFor(m.Format) {
-			_ = os.Remove(filepath.Join(dir, name))
-		}
-	}
-	f, err := os.OpenFile(filepath.Join(dir, segmentFileFor(m.Format)), os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	f, err := os.OpenFile(filepath.Join(dir, segmentFile), os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("dataset: checkpoint %s: %w", dir, err)
 	}
@@ -124,7 +91,7 @@ func CreateCheckpoint(dir string, m Manifest, every int) (*Checkpoint, error) {
 
 // OpenCheckpoint loads an existing checkpoint for resumption: it reads
 // the manifest, loads every durable experiment from the segment
-// (dropping a torn final line — the expected state after a hard kill),
+// (dropping a torn tail — the expected state after a hard kill),
 // truncates the segment back to its durable prefix and reopens it for
 // append. It returns the prior experiments and how many torn bytes were
 // discarded. The caller must verify the manifest's Seed and ConfigHash
@@ -142,12 +109,21 @@ func OpenCheckpoint(dir string) (*Checkpoint, *Dataset, int, error) {
 		return nil, nil, 0, fmt.Errorf("dataset: checkpoint %s: manifest version %d, want %d", dir, m.Version, ManifestVersion)
 	}
 
-	seg := filepath.Join(dir, segmentFileFor(m.Format))
+	seg := filepath.Join(dir, segmentFile)
 	sf, err := os.Open(seg)
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("dataset: checkpoint %s: %w", dir, err)
 	}
-	prior, discarded, err := ReadJSONLTorn(sf)
+	format, err := fileFormat(sf)
+	if err != nil {
+		_ = sf.Close() // the read error is the one to report
+		return nil, nil, 0, fmt.Errorf("dataset: checkpoint %s: segment: %w", dir, err)
+	}
+	prior := &Dataset{}
+	discarded, err := ScanTorn(sf, func(e *Experiment) error {
+		prior.Add(e)
+		return nil
+	})
 	cerr := sf.Close()
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("dataset: checkpoint %s: segment: %w", dir, err)
@@ -155,16 +131,20 @@ func OpenCheckpoint(dir string) (*Checkpoint, *Dataset, int, error) {
 	if cerr != nil {
 		return nil, nil, 0, fmt.Errorf("dataset: checkpoint %s: segment: %w", dir, cerr)
 	}
-	size := int64(0)
-	if info, err := os.Stat(seg); err != nil {
+	info, err := os.Stat(seg)
+	if err != nil {
 		return nil, nil, 0, fmt.Errorf("dataset: checkpoint %s: %w", dir, err)
-	} else {
-		size = info.Size()
+	}
+	size := info.Size() - int64(discarded)
+	// A hard kill only tears a suffix, so a durable prefix at least as
+	// long as the magic opens with it. Anything else was not written by a
+	// checkpoint, and appending curtainbin to it would corrupt it.
+	if size >= int64(len(binMagic)) && format != FormatBinary {
+		return nil, nil, 0, fmt.Errorf("dataset: checkpoint %s: segment %s is not curtainbin", dir, seg)
 	}
 	if discarded > 0 {
 		// Cut the segment back to its durable prefix so the next append
-		// starts on a clean record boundary.
-		size -= int64(discarded)
+		// starts on a clean segment boundary.
 		if err := os.Truncate(seg, size); err != nil {
 			return nil, nil, 0, fmt.Errorf("dataset: checkpoint %s: truncate torn tail: %w", dir, err)
 		}
@@ -178,25 +158,19 @@ func OpenCheckpoint(dir string) (*Checkpoint, *Dataset, int, error) {
 	// completed: appends past the watermark are durable once their bytes
 	// hit disk, even if the process died before the manifest advanced.
 	m.Completed = prior.Len()
-	// A binary segment that never made it to disk (killed before the
-	// first sync, or torn inside the magic) restarts from an empty file
-	// and needs its header rewritten.
+	// A segment that never made it to disk (killed before the first sync,
+	// or torn inside the magic) restarts from an empty file and needs its
+	// header rewritten.
 	return newCheckpoint(dir, DefaultCheckpointEvery, f, m, size == 0), prior, discarded, nil
 }
 
 func newCheckpoint(dir string, every int, f *os.File, m Manifest, fresh bool) *Checkpoint {
 	bw := bufio.NewWriter(f)
-	ck := &Checkpoint{dir: dir, every: every, f: f, bw: bw, manifest: m}
-	if m.Format == FormatBinary {
-		if fresh {
-			ck.bin = NewBinaryWriter(bw)
-		} else {
-			ck.bin = NewBinaryAppender(bw)
-		}
-	} else {
-		ck.enc = json.NewEncoder(bw)
+	bin := NewBinaryAppender(bw)
+	if fresh {
+		bin = NewBinaryWriter(bw)
 	}
-	return ck
+	return &Checkpoint{dir: dir, every: every, f: f, bw: bw, bin: bin, manifest: m}
 }
 
 // SetEvery overrides the fsync cadence (appends between syncs).
@@ -224,11 +198,7 @@ func (c *Checkpoint) Dir() string { return c.dir }
 func (c *Checkpoint) Append(e *Experiment) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.bin != nil {
-		if err := c.bin.Append(e); err != nil {
-			return fmt.Errorf("dataset: checkpoint append experiment %d: %w", e.Seq, err)
-		}
-	} else if err := c.enc.Encode(e); err != nil {
+	if err := c.bin.Append(e); err != nil {
 		return fmt.Errorf("dataset: checkpoint append experiment %d: %w", e.Seq, err)
 	}
 	c.manifest.Completed++
@@ -264,12 +234,10 @@ func (c *Checkpoint) Close() error {
 }
 
 func (c *Checkpoint) syncLocked() error {
-	if c.bin != nil {
-		// Cut the open curtainbin segment so every appended record is in
-		// the bufio stream (a record is durable only once its segment is).
-		if err := c.bin.Flush(); err != nil {
-			return fmt.Errorf("dataset: checkpoint %s: flush segment: %w", c.dir, err)
-		}
+	// Cut the open curtainbin segment so every appended record is in the
+	// bufio stream (a record is durable only once its segment is).
+	if err := c.bin.Flush(); err != nil {
+		return fmt.Errorf("dataset: checkpoint %s: flush segment: %w", c.dir, err)
 	}
 	if err := c.bw.Flush(); err != nil {
 		return fmt.Errorf("dataset: checkpoint %s: flush segment: %w", c.dir, err)

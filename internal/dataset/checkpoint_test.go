@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -9,7 +10,17 @@ import (
 	"testing"
 )
 
-func TestReadJSONLTornTail(t *testing.T) {
+// scanTorn collects a ScanTorn stream into a dataset.
+func scanTorn(r io.Reader) (*Dataset, int, error) {
+	d := &Dataset{}
+	discarded, err := ScanTorn(r, func(e *Experiment) error {
+		d.Add(e)
+		return nil
+	})
+	return d, discarded, err
+}
+
+func TestScanTornJSONLTail(t *testing.T) {
 	var buf bytes.Buffer
 	ds := &Dataset{}
 	ds.Add(sampleExperiment(1, "att"))
@@ -20,7 +31,7 @@ func TestReadJSONLTornTail(t *testing.T) {
 	torn := `{"seq":3,"client_id":"att-0` // killed mid-append, no newline
 	buf.WriteString(torn)
 
-	got, discarded, err := ReadJSONLTorn(bytes.NewReader(buf.Bytes()))
+	got, discarded, err := scanTorn(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,29 +48,29 @@ func TestReadJSONLTornTail(t *testing.T) {
 	}
 }
 
-func TestReadJSONLTornRejectsMidFileCorruption(t *testing.T) {
+func TestScanTornRejectsMidFileCorruption(t *testing.T) {
 	// A broken line that is NOT the unterminated tail is real corruption:
 	// tolerating it would silently drop arbitrary experiments.
 	input := `{"seq":1}` + "\n" + `{broken` + "\n" + `{"seq":2}` + "\n"
-	if _, _, err := ReadJSONLTorn(strings.NewReader(input)); err == nil {
+	if _, _, err := scanTorn(strings.NewReader(input)); err == nil {
 		t.Fatal("mid-file corruption accepted")
 	}
 	// Even a broken final line is corruption when newline-terminated: the
 	// append completed, so the bytes were written that way.
 	input = `{"seq":1}` + "\n" + `{broken` + "\n"
-	if _, _, err := ReadJSONLTorn(strings.NewReader(input)); err == nil {
+	if _, _, err := scanTorn(strings.NewReader(input)); err == nil {
 		t.Fatal("newline-terminated corruption accepted")
 	}
 }
 
-func TestReadJSONLTornCleanInput(t *testing.T) {
+func TestScanTornCleanInput(t *testing.T) {
 	var buf bytes.Buffer
 	ds := &Dataset{}
 	ds.Add(sampleExperiment(1, "att"))
 	if err := ds.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, discarded, err := ReadJSONLTorn(bytes.NewReader(buf.Bytes()))
+	got, discarded, err := scanTorn(bytes.NewReader(buf.Bytes()))
 	if err != nil || discarded != 0 || got.Len() != 1 {
 		t.Fatalf("clean input: len=%d discarded=%d err=%v", got.Len(), discarded, err)
 	}
@@ -127,7 +138,16 @@ func TestOpenCheckpointTruncatesTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	seg := filepath.Join(dir, segmentFile)
-	torn := []byte(`{"seq":2,"cli`)
+	// A kill mid-append leaves a prefix of the next curtainbin segment.
+	var next bytes.Buffer
+	nw := NewBinaryAppender(&next)
+	if err := nw.Append(sampleExperiment(2, "att")); err != nil {
+		t.Fatal(err)
+	}
+	if err := nw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	torn := next.Bytes()[:next.Len()/2]
 	f, err := os.OpenFile(seg, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -158,7 +178,7 @@ func TestOpenCheckpointTruncatesTornTail(t *testing.T) {
 	if after.Size() != before.Size()-int64(len(torn)) {
 		t.Fatalf("segment size %d, want %d", after.Size(), before.Size()-int64(len(torn)))
 	}
-	// And the next append must land on a clean line boundary.
+	// And the next append must land on a clean segment boundary.
 	if err := reopened.Append(sampleExperiment(2, "att")); err != nil {
 		t.Fatal(err)
 	}
@@ -176,6 +196,42 @@ func TestOpenCheckpointTruncatesTornTail(t *testing.T) {
 	}
 	if final.Len() != 2 || final.Experiments[1].Seq != 2 {
 		t.Fatalf("recovered segment = %d experiments", final.Len())
+	}
+}
+
+func TestOpenCheckpointRefusesJSONLSegment(t *testing.T) {
+	// Checkpoints are curtainbin only. A directory holding a JSONL
+	// segment (the layout older versions could write) is refused with an
+	// error naming the segment path it lacks, at resume and at analyze.
+	dir := t.TempDir()
+	m := fmt.Sprintf(`{"version":%d,"format":"jsonl","seed":7,"config_hash":"h","total":2,"completed":1}`, ManifestVersion)
+	if err := os.WriteFile(filepath.Join(dir, manifestFile), []byte(m), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	ds := &Dataset{}
+	ds.Add(sampleExperiment(1, "att"))
+	if err := ds.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "experiments.jsonl"), buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want := filepath.Join(dir, "experiments.bin")
+	if _, _, _, err := OpenCheckpoint(dir); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("OpenCheckpoint on a JSONL checkpoint: err = %v, want one naming %s", err, want)
+	}
+	if _, err := ScanCheckpoint(dir, func(*Experiment) error { return nil }); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("ScanCheckpoint on a JSONL checkpoint: err = %v, want one naming %s", err, want)
+	}
+
+	// JSONL bytes under the curtainbin name are refused too: appending
+	// curtainbin segments to them would corrupt the file.
+	if err := os.WriteFile(want, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := OpenCheckpoint(dir); err == nil || !strings.Contains(err.Error(), "not curtainbin") {
+		t.Fatalf("OpenCheckpoint on JSONL bytes in %s: err = %v", want, err)
 	}
 }
 

@@ -182,43 +182,71 @@ func (d *Dataset) ByCarrier() []CarrierGroup {
 	return groups
 }
 
-// WriteJSONL streams the dataset as one JSON object per line.
-func (d *Dataset) WriteJSONL(w io.Writer) error {
+// RecordWriter streams experiments one at a time in one codec. Flush
+// writes whatever the codec still buffers; call it once the last record
+// is appended.
+type RecordWriter interface {
+	Append(*Experiment) error
+	Flush() error
+}
+
+// NewRecordWriter returns the streaming writer for codec f. It is the one
+// place a writer is chosen by Format: Dataset.Write and every streamed
+// dataset file go through it, so streaming a campaign writes the same
+// bytes as materializing it first.
+func NewRecordWriter(w io.Writer, f Format) RecordWriter {
+	if f == FormatBinary {
+		return NewBinaryWriter(w)
+	}
 	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
+	return &jsonlWriter{bw: bw, enc: json.NewEncoder(bw)}
+}
+
+// jsonlWriter writes one JSON object per line.
+type jsonlWriter struct {
+	bw  *bufio.Writer
+	enc *json.Encoder
+}
+
+func (j *jsonlWriter) Append(e *Experiment) error {
+	if err := j.enc.Encode(e); err != nil {
+		return fmt.Errorf("dataset: encode experiment %d: %w", e.Seq, err)
+	}
+	return nil
+}
+
+func (j *jsonlWriter) Flush() error {
+	if err := j.bw.Flush(); err != nil {
+		return fmt.Errorf("dataset: flush: %w", err)
+	}
+	return nil
+}
+
+// Write streams the dataset in codec f.
+func (d *Dataset) Write(w io.Writer, f Format) error {
+	rw := NewRecordWriter(w, f)
 	for _, e := range d.Experiments {
-		if err := enc.Encode(e); err != nil {
-			return fmt.Errorf("dataset: encode experiment %d: %w", e.Seq, err)
+		if err := rw.Append(e); err != nil {
+			return err
 		}
 	}
-	return bw.Flush()
+	return rw.Flush()
 }
 
-// ReadJSONL loads a dataset written by WriteJSONL. It is strict: any
-// malformed line — including a truncated final line — is an error.
+// WriteJSONL streams the dataset as one JSON object per line.
+func (d *Dataset) WriteJSONL(w io.Writer) error {
+	return d.Write(w, FormatJSONL)
+}
+
+// ReadJSONL loads a dataset written by Write, in either codec. It is
+// strict: any malformed record — including a torn tail — is an error.
 func ReadJSONL(r io.Reader) (*Dataset, error) {
-	d, _, err := readJSONL(r, false)
-	return d, err
-}
-
-// ReadJSONLTorn loads a dataset tolerating a torn final line — the
-// expected state of an append-only segment after a hard kill mid-write.
-// A final line that does not parse (and has no trailing newline) is
-// dropped; the returned count is how many trailing bytes were discarded.
-// Torn or malformed lines anywhere else remain errors: a tear can only
-// be a suffix of the file.
-func ReadJSONLTorn(r io.Reader) (*Dataset, int, error) {
-	return readJSONL(r, true)
-}
-
-func readJSONL(r io.Reader, tolerateTorn bool) (*Dataset, int, error) {
 	d := &Dataset{}
-	discarded, err := scanAny(r, tolerateTorn, func(e *Experiment) error {
+	if err := Scan(r, func(e *Experiment) error {
 		d.Add(e)
 		return nil
-	})
-	if err != nil {
-		return nil, 0, err
+	}); err != nil {
+		return nil, err
 	}
-	return d, discarded, nil
+	return d, nil
 }

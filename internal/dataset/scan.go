@@ -10,7 +10,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sync"
 )
 
 // ScanFunc receives experiments one at a time during a streaming scan.
@@ -19,7 +18,7 @@ import (
 // scanner never touches it again.
 type ScanFunc func(*Experiment) error
 
-// Scan streams a dataset written by WriteJSONL or WriteBinary, yielding
+// Scan streams a dataset written by Write (either codec), yielding
 // one experiment at a time without materializing the dataset. The codec
 // is auto-detected by magic bytes. It is strict: any malformed line or
 // truncated segment — including a torn tail — is an error.
@@ -88,7 +87,7 @@ func scanJSONL(br *bufio.Reader, tolerateTorn bool, fn ScanFunc) (int, error) {
 	}
 }
 
-// ScanFile streams the JSONL dataset at path. A missing file is reported
+// ScanFile streams the dataset file at path (either codec). A missing file is reported
 // as a clear error naming the path.
 func ScanFile(path string, fn ScanFunc) error {
 	f, err := os.Open(path)
@@ -109,10 +108,10 @@ func ScanFile(path string, fn ScanFunc) error {
 
 // ScanCheckpoint streams the experiments durably recorded in a campaign
 // checkpoint directory (see CreateCheckpoint), tolerating the torn tail
-// a hard kill can leave. The segment's codec (JSONL or curtainbin) is
-// auto-detected. It returns how many torn trailing bytes were skipped.
+// a hard kill can leave. It returns how many torn trailing bytes were
+// skipped.
 func ScanCheckpoint(dir string, fn ScanFunc) (int, error) {
-	f, err := os.Open(checkpointSegmentPath(dir))
+	f, err := os.Open(filepath.Join(dir, segmentFile))
 	if err != nil {
 		return 0, fmt.Errorf("dataset: checkpoint %s: %w", dir, err)
 	}
@@ -416,88 +415,3 @@ func scanShard(f *os.File, s Shard, fn ScanFunc) error {
 	}
 	return nil
 }
-
-// scanBatch is how many experiments a parallel shard scanner hands over
-// per channel send: large enough to amortize synchronization, small
-// enough to bound per-shard buffering.
-const scanBatch = 256
-
-// ScanFileParallel streams the JSONL file at path using n concurrent
-// shard scanners while yielding experiments to fn in exactly serial file
-// order: shard parsing overlaps, but delivery drains shard 0 to
-// completion before shard 1, and so on. fn runs on the calling
-// goroutine. Memory is bounded by n scanners' in-flight batches, not by
-// the file size.
-func ScanFileParallel(path string, n int, fn ScanFunc) error {
-	shards, err := FileShards(path, n)
-	if err != nil {
-		return err
-	}
-	if len(shards) == 1 {
-		return ScanShard(shards[0], fn)
-	}
-
-	type stream struct {
-		ch  chan []*Experiment
-		err error
-	}
-	done := make(chan struct{})
-	streams := make([]*stream, len(shards))
-	var wg sync.WaitGroup
-	// Unblock any producer stalled on a full channel before waiting for
-	// the pool, or an early consumer exit would deadlock the Wait.
-	defer func() {
-		close(done)
-		wg.Wait()
-	}()
-	for i, sh := range shards {
-		st := &stream{ch: make(chan []*Experiment, 4)}
-		streams[i] = st
-		wg.Add(1)
-		go func(sh Shard, st *stream) {
-			defer wg.Done()
-			defer close(st.ch)
-			batch := make([]*Experiment, 0, scanBatch)
-			flush := func() bool {
-				if len(batch) == 0 {
-					return true
-				}
-				select {
-				case st.ch <- batch:
-					batch = make([]*Experiment, 0, scanBatch)
-					return true
-				case <-done:
-					return false
-				}
-			}
-			st.err = ScanShard(sh, func(e *Experiment) error {
-				batch = append(batch, e)
-				if len(batch) >= scanBatch && !flush() {
-					return errScanAborted
-				}
-				return nil
-			})
-			if st.err == nil {
-				flush()
-			}
-		}(sh, st)
-	}
-
-	for _, st := range streams {
-		for batch := range st.ch {
-			for _, e := range batch {
-				if ferr := fn(e); ferr != nil {
-					return ferr
-				}
-			}
-		}
-		if st.err != nil && st.err != errScanAborted {
-			return st.err
-		}
-	}
-	return nil
-}
-
-// errScanAborted is the sentinel a parallel shard scanner returns
-// internally when the consumer went away; it never escapes the package.
-var errScanAborted = fmt.Errorf("dataset: scan aborted")

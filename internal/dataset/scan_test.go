@@ -147,44 +147,43 @@ func TestFileShardsEmptyFile(t *testing.T) {
 	}
 }
 
-func TestScanFileParallelOrder(t *testing.T) {
+// scanShards streams every shard of FileShards(path, n) in index order —
+// the serial-order contract analyze's shard merge relies on.
+func scanShards(path string, n int, fn ScanFunc) error {
+	shards, err := FileShards(path, n)
+	if err != nil {
+		return err
+	}
+	for _, sh := range shards {
+		if err := ScanShard(sh, fn); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func TestScanShardsOrder(t *testing.T) {
 	path, d := writeSampleFile(t, 101)
 	for _, n := range []int{1, 2, 4, 8} {
 		var seqs []int
-		if err := ScanFileParallel(path, n, func(e *Experiment) error {
+		if err := scanShards(path, n, func(e *Experiment) error {
 			seqs = append(seqs, e.Seq)
 			return nil
 		}); err != nil {
 			t.Fatal(err)
 		}
 		if len(seqs) != d.Len() {
-			t.Fatalf("n=%d: parallel scan yielded %d, want %d", n, len(seqs), d.Len())
+			t.Fatalf("n=%d: shard scan yielded %d, want %d", n, len(seqs), d.Len())
 		}
 		for i, s := range seqs {
 			if s != i+1 {
-				t.Fatalf("n=%d: parallel order broken at %d: seq %d", n, i, s)
+				t.Fatalf("n=%d: shard order broken at %d: seq %d", n, i, s)
 			}
 		}
 	}
 }
 
-func TestScanFileParallelEarlyStop(t *testing.T) {
-	path, _ := writeSampleFile(t, 400)
-	sentinel := errors.New("enough")
-	n := 0
-	err := ScanFileParallel(path, 8, func(*Experiment) error {
-		n++
-		if n == 5 {
-			return sentinel
-		}
-		return nil
-	})
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("err = %v, want sentinel", err)
-	}
-}
-
-func TestScanFileParallelBadLine(t *testing.T) {
+func TestScanShardsBadLine(t *testing.T) {
 	path, _ := writeSampleFile(t, 40)
 	b, err := os.ReadFile(path)
 	if err != nil {
@@ -195,9 +194,9 @@ func TestScanFileParallelBadLine(t *testing.T) {
 	if err := os.WriteFile(path, bytes.Join(lines, []byte("\n")), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	err = ScanFileParallel(path, 4, func(*Experiment) error { return nil })
+	err = scanShards(path, 4, func(*Experiment) error { return nil })
 	if err == nil {
-		t.Fatal("parallel scan must surface a malformed mid-file line")
+		t.Fatal("shard scan must surface a malformed mid-file line")
 	}
 }
 
@@ -251,7 +250,7 @@ func TestScanCheckpointTornTail(t *testing.T) {
 	if err := ck.Close(); err != nil {
 		t.Fatal(err)
 	}
-	seg := filepath.Join(dir, "experiments.jsonl")
+	seg := filepath.Join(dir, "experiments.bin")
 	b, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
@@ -285,7 +284,7 @@ func TestShardsNoTrailingNewline(t *testing.T) {
 	}
 	for _, n := range []int{1, 2, 4, 8} {
 		count := 0
-		if err := ScanFileParallel(path, n, func(e *Experiment) error {
+		if err := scanShards(path, n, func(e *Experiment) error {
 			if e.Seq != count+1 {
 				return fmt.Errorf("order broken: seq %d at index %d", e.Seq, count)
 			}

@@ -144,21 +144,21 @@ func TestKillResumeInvariance(t *testing.T) {
 }
 
 func TestResumeAfterTornSegmentTail(t *testing.T) {
-	// A kill -9 mid-append leaves a torn final line. Resume must drop it,
-	// report the discarded bytes, re-run that experiment, and still match
-	// the uninterrupted bytes.
+	// A kill -9 mid-append leaves a torn final curtainbin segment. Resume
+	// must drop it, report the discarded bytes, re-run its experiments,
+	// and still match the uninterrupted bytes.
 	want := uninterrupted(t, 1, "")
 	dir := filepath.Join(t.TempDir(), "ck")
 	cfg := ckConfig(t, 1, "", dir)
 	abortAfter(t, cfg, 3)
 
-	seg := filepath.Join(dir, "experiments.jsonl")
+	seg := filepath.Join(dir, "experiments.bin")
 	fi, err := os.Stat(seg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Tear the tail mid-line: chop the trailing newline plus some JSON.
-	if err := os.Truncate(seg, fi.Size()-40); err != nil {
+	// Tear the tail mid-record: chop the end of the last segment.
+	if err := os.Truncate(seg, fi.Size()-17); err != nil {
 		t.Fatal(err)
 	}
 
@@ -217,6 +217,44 @@ func TestResumeRejectsForeignCheckpoint(t *testing.T) {
 		if _, _, err := c.CollectDurable(); err == nil {
 			t.Fatalf("%s-mutated resume accepted a foreign checkpoint", name)
 		}
+	}
+}
+
+// outOfRangeCheckpoint writes a checkpoint whose manifest matches cfg
+// but whose segment holds one experiment with a seq past the campaign.
+func outOfRangeCheckpoint(t *testing.T, cfg Config, total int) {
+	t.Helper()
+	ck, err := dataset.CreateCheckpoint(cfg.CheckpointDir, dataset.Manifest{
+		Seed: cfg.Seed, ConfigHash: cfg.Hash(), Total: total,
+	}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ck.Append(&dataset.Experiment{Seq: total + 1, ClientID: "stray", Carrier: "att"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := ck.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestOpenCheckpointRejectsOutOfRangeSeq(t *testing.T) {
+	// A segment record outside 1..total cannot belong to the campaign.
+	// RunDurable and the distributed coordinator open checkpoints through
+	// the same OpenCheckpoint, so both refuse it with the same error.
+	cfg := ckConfig(t, 1, "", filepath.Join(t.TempDir(), "ck"))
+	c := ckCampaign(t, cfg)
+	total := c.Total()
+	outOfRangeCheckpoint(t, cfg, total)
+	cfg.Resume = true
+
+	want := fmt.Sprintf("trace: checkpoint %s: experiment seq %d outside 1..%d", cfg.CheckpointDir, total+1, total)
+	if _, _, _, err := OpenCheckpoint(cfg, total); err == nil || err.Error() != want {
+		t.Fatalf("OpenCheckpoint err = %v, want %q", err, want)
+	}
+	c.Config = cfg
+	if _, err := c.RunDurable(func(*dataset.Experiment) {}); err == nil || err.Error() != want {
+		t.Fatalf("RunDurable err = %v, want %q", err, want)
 	}
 }
 

@@ -71,11 +71,6 @@ type Config struct {
 	// with a manifest recording the campaign's identity. A run killed at
 	// any point resumes from the durable prefix.
 	CheckpointDir string
-	// CheckpointFormat selects the checkpoint segment codec (JSONL by
-	// default, curtainbin with dataset.FormatBinary). Like the other
-	// checkpoint fields it shapes how results persist, never what they
-	// contain, so it is excluded from Hash.
-	CheckpointFormat dataset.Format
 	// CheckpointEvery is the fsync cadence in experiments (0 = the
 	// dataset package default). Smaller values bound the re-run window
 	// after a hard kill at the cost of more fsyncs.
@@ -620,29 +615,60 @@ func (e *ConfigMismatchError) Error() string {
 		e.Hash, e.Seed, e.Total)
 }
 
-// VerifyManifest checks that a checkpoint manifest matches the campaign
-// that wants to adopt it — same seed, same Config.Hash fingerprint, same
-// experiment count — and returns a *ConfigMismatchError naming both
-// identities otherwise. Both the serial resume path (CollectDurable) and
-// the distributed coordinator use this before trusting a segment.
-func VerifyManifest(dir string, m dataset.Manifest, cfg Config, total int) error {
-	if m.Seed != cfg.Seed || m.ConfigHash != cfg.Hash() || m.Total != total {
-		return &ConfigMismatchError{
+// OpenCheckpoint opens the durable checkpoint in cfg.CheckpointDir for
+// a campaign of total experiments. With cfg.Resume it loads the existing
+// checkpoint and verifies that its manifest records the same seed,
+// Config.Hash fingerprint and experiment count — a *ConfigMismatchError
+// naming both identities otherwise — then applies cfg.CheckpointEvery
+// and returns the durable experiments keyed by seq, plus how many torn
+// tail bytes were dropped; a seq outside 1..total is an error. Without
+// cfg.Resume it creates a fresh checkpoint and returns no prior
+// experiments. RunDurable and the distributed coordinator both open
+// their checkpoints here, so neither can trust a segment the other
+// would refuse.
+func OpenCheckpoint(cfg Config, total int) (*dataset.Checkpoint, map[int]*dataset.Experiment, int, error) {
+	dir := cfg.CheckpointDir
+	if !cfg.Resume {
+		ck, err := dataset.CreateCheckpoint(dir, dataset.Manifest{
+			Seed: cfg.Seed, ConfigHash: cfg.Hash(), Total: total,
+		}, cfg.CheckpointEvery)
+		if err != nil {
+			return nil, nil, 0, fmt.Errorf("trace: checkpoint: %w", err)
+		}
+		return ck, nil, 0, nil
+	}
+	ck, priorDS, discarded, err := dataset.OpenCheckpoint(dir)
+	if err != nil {
+		return nil, nil, 0, fmt.Errorf("trace: resume: %w", err)
+	}
+	if m := ck.Manifest(); m.Seed != cfg.Seed || m.ConfigHash != cfg.Hash() || m.Total != total {
+		_ = ck.Close()
+		return nil, nil, 0, &ConfigMismatchError{
 			Dir: dir, Manifest: m,
 			Seed: cfg.Seed, Hash: cfg.Hash(), Total: total,
 		}
 	}
-	return nil
+	ck.SetEvery(cfg.CheckpointEvery)
+	prior := make(map[int]*dataset.Experiment, priorDS.Len())
+	for _, e := range priorDS.Experiments {
+		if e.Seq < 1 || e.Seq > total {
+			_ = ck.Close()
+			return nil, nil, 0, fmt.Errorf("trace: checkpoint %s: experiment seq %d outside 1..%d",
+				dir, e.Seq, total)
+		}
+		prior[e.Seq] = e
+	}
+	return ck, prior, discarded, nil
 }
 
 // RunDurable runs the campaign with durable checkpointing in
 // Config.CheckpointDir, streaming every experiment to record in
 // canonical order as the contiguous prefix completes — like Run, but
-// durable. Completed experiments are appended to the checkpoint segment
-// (in Config.CheckpointFormat's codec) as they finish; with
-// Config.Resume the durable prefix of a previous run is verified against
-// the campaign's seed and config hash, reused, and only the remainder
-// executes. On a fresh run, memory is bounded by the workers'
+// durable. Completed experiments are appended to the curtainbin
+// checkpoint segment as they finish; with Config.Resume the durable
+// prefix of a previous run is verified against the campaign's seed and
+// config hash, reused, and only the remainder executes (see
+// OpenCheckpoint). On a fresh run, memory is bounded by the workers'
 // out-of-order window regardless of campaign size. On interrupt it
 // returns ErrInterrupted with the checkpoint flushed; record has then
 // seen only a canonical prefix, which the caller must discard.
@@ -651,42 +677,10 @@ func (c *Campaign) RunDurable(record func(*dataset.Experiment)) (RunStatus, erro
 	if cfg.CheckpointDir == "" {
 		return RunStatus{}, fmt.Errorf("trace: RunDurable requires Config.CheckpointDir")
 	}
-	total := c.Steps() * c.total
-	var (
-		ck        *dataset.Checkpoint
-		prior     map[int]*dataset.Experiment
-		discarded int
-	)
-	if cfg.Resume {
-		opened, priorDS, torn, err := dataset.OpenCheckpoint(cfg.CheckpointDir)
-		if err != nil {
-			return RunStatus{}, fmt.Errorf("trace: resume: %w", err)
-		}
-		if err := VerifyManifest(cfg.CheckpointDir, opened.Manifest(), cfg, total); err != nil {
-			_ = opened.Close()
-			//lint:ignore errwrap ConfigMismatchError is returned typed so callers can errors.As it
-			return RunStatus{}, err
-		}
-		opened.SetEvery(cfg.CheckpointEvery)
-		prior = make(map[int]*dataset.Experiment, priorDS.Len())
-		for _, e := range priorDS.Experiments {
-			if e.Seq < 1 || e.Seq > total {
-				_ = opened.Close()
-				return RunStatus{}, fmt.Errorf("trace: checkpoint %s: experiment seq %d outside 1..%d",
-					cfg.CheckpointDir, e.Seq, total)
-			}
-			prior[e.Seq] = e
-		}
-		ck, discarded = opened, torn
-	} else {
-		created, err := dataset.CreateCheckpoint(cfg.CheckpointDir, dataset.Manifest{
-			Format: cfg.CheckpointFormat,
-			Seed:   cfg.Seed, ConfigHash: cfg.Hash(), Total: total,
-		}, cfg.CheckpointEvery)
-		if err != nil {
-			return RunStatus{}, fmt.Errorf("trace: checkpoint: %w", err)
-		}
-		ck = created
+	ck, prior, discarded, err := OpenCheckpoint(cfg, c.Total())
+	if err != nil {
+		//lint:ignore errwrap OpenCheckpoint errors name the checkpoint, and a ConfigMismatchError stays matchable
+		return RunStatus{}, err
 	}
 
 	st, runErr := c.run(prior, ck, record)

@@ -18,6 +18,9 @@ go build ./...
 echo "==> go vet ./..."
 go vet ./...
 
+echo "==> go vet ./... in perfbench (its own module; root builds never compile it)"
+(cd perfbench && go vet ./...)
+
 echo "==> curtainlint self-lint (./cmd/curtainlint)"
 go run ./cmd/curtainlint ./cmd/curtainlint
 
@@ -86,7 +89,7 @@ echo "==> binary checkpoint kill-resume invariance (torn segment tail + -resume 
 bkdir="$(mktemp -d)"
 trap 'rm -f "$ckbin" "$ckds" "$cka" "$ckb" "$cvbin" "$cvjsonl"; rm -rf "$bkdir"' EXIT
 "$ckbin" simulate -days 2 -scale 0.1 -seed 7 -checkpoint-dir "$bkdir/ck" \
-	-checkpoint-format binary -out "$ckb" >/dev/null 2>&1
+	-out "$ckb" >/dev/null 2>&1
 cmp "$ckds" "$ckb" || { echo "check.sh: binary-checkpoint run diverges from plain run" >&2; exit 1; }
 bkseg="$bkdir/ck/experiments.bin"
 [ -f "$bkseg" ] || { echo "check.sh: no binary segment at $bkseg" >&2; exit 1; }
